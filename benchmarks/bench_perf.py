@@ -16,12 +16,13 @@ on a >30% throughput regression::
     PYTHONPATH=src python benchmarks/bench_perf.py --smoke \\
         --check benchmarks/BENCH_perf_baseline.json
 
-``--soa`` adds a section timing the batched tier (``REPRO_FAST=2``)
-against tier 1 in the same invocation; ``--soa-gate`` additionally
-fails the run unless every config clears the noise-tolerant speedup
-floor (within-record ratio, so machine speed cancels exactly)::
+``--reference`` adds a section timing the reference loop
+(``REPRO_FAST=0``) against the fast step in the same invocation;
+``--fast-gate`` additionally fails the run unless every config clears
+the noise-tolerant speedup floor (within-record ratio, so machine speed
+cancels exactly)::
 
-    PYTHONPATH=src python benchmarks/bench_perf.py --smoke --soa-gate
+    PYTHONPATH=src python benchmarks/bench_perf.py --smoke --fast-gate
 
 ``--cosim`` adds a section timing one co-simulated stream pass of the
 pinned paper-config matrix against N independent serial passes;
@@ -74,19 +75,19 @@ def main(argv=None) -> int:
                              "--smoke)")
     parser.add_argument("--no-phases", action="store_true",
                         help="skip the profiled run for phase breakdown")
-    parser.add_argument("--soa", action="store_true",
-                        help="pin the matrix to REPRO_FAST=1 and add a "
-                             "'soa' section re-running it at REPRO_FAST=2 "
-                             "with per-entry speedup_vs_fast")
-    parser.add_argument("--soa-gate", action="store_true",
-                        help="implies --soa; exit 1 unless every SoA "
-                             "entry beats the speedup floor vs tier 1 "
-                             "within this same record")
-    parser.add_argument("--soa-floor", type=float,
-                        default=perf.SOA_GATE_SPEEDUP,
-                        help="speedup floor for --soa-gate (default: "
-                             f"{perf.SOA_GATE_SPEEDUP}; the design "
-                             f"target is {perf.SOA_TARGET_SPEEDUP})")
+    parser.add_argument("--reference", action="store_true",
+                        help="pin the matrix to the fast step and add a "
+                             "'reference' section re-running it at "
+                             "REPRO_FAST=0, with per-entry "
+                             "speedup_vs_reference")
+    parser.add_argument("--fast-gate", action="store_true",
+                        help="implies --reference; exit 1 unless every "
+                             "fast entry beats the speedup floor vs the "
+                             "reference loop within this same record")
+    parser.add_argument("--fast-floor", type=float,
+                        default=perf.FAST_GATE_SPEEDUP,
+                        help="speedup floor for --fast-gate (default: "
+                             f"{perf.FAST_GATE_SPEEDUP})")
     parser.add_argument("--cosim", action="store_true",
                         help="add a 'cosim' section timing one "
                              "co-simulated stream pass of the pinned "
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
                              repeats=args.repeats,
                              phase_breakdown=not args.no_phases,
                              sampled_instructions=sampled_instructions,
-                             soa=args.soa or args.soa_gate,
+                             reference=args.reference or args.fast_gate,
                              cosim_instructions=cosim_instructions)
     perf.write_record(record, args.output)
 
@@ -157,13 +158,13 @@ def main(argv=None) -> int:
               f"{entry['uops_per_sec']:12.1f} "
               f"{entry['wall_seconds']:8.4f} "
               f"{'-' if hit is None else format(hit, '9.4f')}")
-    if "soa" in record:
-        print(f"\nSoA tier (REPRO_FAST=2) vs tier 1, same record:")
+    if "reference" in record:
+        print("\nreference loop (REPRO_FAST=0) vs fast step, same record:")
         print(f"{'config':10s} {'cycles/s':>12s} {'speedup':>8s}")
-        for entry in record["soa"]:
-            print(f"{entry['config']:10s} "
-                  f"{entry['sim_cycles_per_sec']:12.1f} "
-                  f"{entry['speedup_vs_fast']:7.2f}x")
+        for entry, ref in zip(record["entries"], record["reference"]):
+            print(f"{ref['config']:10s} "
+                  f"{ref['sim_cycles_per_sec']:12.1f} "
+                  f"{entry['speedup_vs_reference']:7.2f}x")
     if "sampled" in record:
         print(f"\nsampled vs full detail "
               f"({record['sampled'][0]['instructions']} instructions):")
@@ -198,15 +199,15 @@ def main(argv=None) -> int:
             return 1
         print(f"regression check vs {args.check}: OK")
 
-    if args.soa_gate:
-        failures = perf.check_soa_speedup(record, target=args.soa_floor)
+    if args.fast_gate:
+        failures = perf.check_fast_speedup(record, target=args.fast_floor)
         if failures:
-            print(f"\nSoA GATE FAILED (floor {args.soa_floor}x):",
+            print(f"\nFAST GATE FAILED (floor {args.fast_floor}x):",
                   file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        print(f"SoA gate (>= {args.soa_floor}x vs tier 1): OK")
+        print(f"fast gate (>= {args.fast_floor}x vs reference): OK")
 
     if args.cosim_gate:
         failures = perf.check_cosim_speedup(record,

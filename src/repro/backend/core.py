@@ -26,11 +26,6 @@ from repro.errors import SimulationError
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.stats import StatsCollector
 
-#: Legacy aliases — the tables moved next to the decoded-uop cache in
-#: :mod:`repro.core.uop` so decode can precompute pool/latency keys.
-_FU_POOL = FU_POOL
-_LATENCY_KEY = LATENCY_KEY
-
 _DONE_STATES = (UopState.DONE, UopState.COMMITTED)
 
 
@@ -107,7 +102,7 @@ class OutOfOrderCore:
             self._dispatch.append(uop)
 
     def queue_dispatched(self, uops: List[MicroOp]) -> None:
-        """Tier-2 twin of :meth:`dispatch` for uops whose
+        """Fast-step twin of :meth:`dispatch` for uops whose
         ``dispatch_ready_cycle`` was already stamped in the rename build
         loop — one C-level extend instead of a per-uop pass."""
         self._dispatch.extend(uops)
@@ -195,7 +190,8 @@ class OutOfOrderCore:
         return completed
 
     def cycle_soa(self, now: int) -> List[MicroOp]:
-        """Tier-2 (``REPRO_FAST=2``) twin of :meth:`cycle`.
+        """Fast-step twin of :meth:`cycle` (every uop carries its
+        :class:`~repro.core.uop.DecodedUop`).
 
         Same phase order, same observable effects — the dispatch-insert
         and issue loops are inlined with hoisted lookups, and the
@@ -261,8 +257,7 @@ class OutOfOrderCore:
                 if uop.state is not ready_state:
                     continue  # squashed while queued
                 decoded = uop.decoded
-                pool = (decoded.pool if decoded is not None
-                        else _FU_POOL[uop.inst.op_class])
+                pool = decoded.pool
                 in_use = used_get(pool, 0)
                 if in_use >= counts_get(pool, 0):
                     skipped.append(item)
@@ -272,9 +267,7 @@ class OutOfOrderCore:
                 # _start_execution, inlined.
                 uop.state = executing
                 uop.issue_cycle = now
-                key = (decoded.latency_key if decoded is not None
-                       else _LATENCY_KEY[uop.inst.op_class])
-                done_at = now + latencies[key]
+                done_at = now + latencies[decoded.latency_key]
                 inst = uop.inst
                 if inst.is_mem and uop.record is not None \
                         and uop.record.ea is not None:
@@ -335,9 +328,7 @@ class OutOfOrderCore:
             seq, uop = heapq.heappop(self._ready)
             if uop.state is not UopState.READY:
                 continue  # squashed while queued
-            decoded = uop.decoded
-            pool = (decoded.pool if decoded is not None
-                    else _FU_POOL[uop.inst.op_class])
+            pool = FU_POOL[uop.inst.op_class]
             if used.get(pool, 0) >= counts.get(pool, 0):
                 skipped.append((seq, uop))
                 continue
@@ -353,9 +344,7 @@ class OutOfOrderCore:
     def _start_execution(self, uop: MicroOp, now: int) -> None:
         uop.state = UopState.EXECUTING
         uop.issue_cycle = now
-        decoded = uop.decoded
-        key = (decoded.latency_key if decoded is not None
-               else _LATENCY_KEY[uop.inst.op_class])
+        key = LATENCY_KEY[uop.inst.op_class]
         done_at = now + self.config.fu_latencies[key]
         inst = uop.inst
         if inst.is_mem and uop.record is not None \

@@ -304,10 +304,11 @@ LIVE_ENV = "REPRO_LIVE"
 LIVE_PATH_ENV = "REPRO_LIVE_PATH"
 LIVE_EVERY_ENV = "REPRO_LIVE_EVERY"
 
-#: Speed-tier switch; see :mod:`repro.perf`.  ``0`` selects the
-#: reference loop the golden-parity tests compare against, ``1`` (the
-#: default) the behaviour-preserving hot-path caches, ``2`` the batched
-#: structure-of-arrays cycle step.
+#: Speed switch, parsed by :func:`env_flag` (default on); see
+#: :mod:`repro.perf`.  A falsy value selects the reference loop the
+#: golden-parity tests compare against; unset or any other value the
+#: fast step (hot-path caches plus the batched structure-of-arrays
+#: cycle step).
 PERF_FAST_ENV = "REPRO_FAST"
 
 #: Every ``REPRO_*`` environment knob the simulator understands, with a
@@ -338,8 +339,7 @@ ENV_KNOBS: Dict[str, str] = {
     "REPRO_OBS_TRACE": "pipeline event trace (path or 1)",
     "REPRO_OBS_TRACE_LIMIT": "trace event cap",
     "REPRO_OBS_PROFILE": "per-phase wall-clock profiling",
-    "REPRO_FAST": "speed tier: 0 reference loop, 1 hot-path caches, "
-                  "2 batched SoA step",
+    "REPRO_FAST": "fast cycle step (0 = reference loop)",
     "REPRO_SAMPLE": "interval-sampling period (0/unset = full detail)",
     "REPRO_SAMPLE_UNIT": "instructions per sampling unit",
     "REPRO_SAMPLE_WARMUP": "detailed warm-up instructions per sample",
@@ -366,6 +366,7 @@ FLAG_ENV_KNOBS: Tuple[str, ...] = (
     "REPRO_OBS_TRACE",
     "REPRO_OBS_PROFILE",
     "REPRO_LIVE",
+    "REPRO_FAST",
 )
 
 

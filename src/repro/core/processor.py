@@ -11,6 +11,12 @@ Per cycle, in reverse pipeline order:
 4. **fetch** — the fill engine advances its sequencers/trace cache, then
    at most one new fragment is predicted and allocated a buffer.
 
+:meth:`Processor.step` runs these four phases as a tuple of bound
+methods picked once at construction: the reference loop's
+(``REPRO_FAST=0``, the parity oracle) or the fast step's (batched
+structure-of-arrays variants of execute, commit and rename over
+:mod:`repro.perf.soa`).  The phase profiler times the same tuple.
+
 The oracle dynamic stream defines the correct path.  Fragments are tagged
 against it at creation: the first fetched instruction that diverges from
 the oracle pins the misprediction on the preceding (control) instruction,
@@ -27,11 +33,11 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.live import LiveTelemetry
-    from repro.obs.profiling import PhaseProfiler
 
 from repro.config import ProcessorConfig
 from repro.core.invariants import InvariantChecker, PipelineWatchdog
 from repro.core.uop import DecodeCache, MicroOp, PlaceholderProducer, UopState
+from repro.obs.profiling import PHASES
 from repro.perf import PerfConfig
 from repro.perf.soa import SharedStream, SoAState
 from repro.backend.core import OutOfOrderCore
@@ -76,8 +82,10 @@ class Processor:
         self.config = config
         self.program = program
         self.stats = StatsCollector()
-        #: Speed-tier selection (``REPRO_FAST``); never affects results.
+        #: Fast step or reference loop (``REPRO_FAST``); never affects
+        #: results.
         self.perf = perf if perf is not None else PerfConfig.from_env()
+        fast = self.perf.fast
 
         #: Opt-in observability (see :mod:`repro.obs`); None = disabled.
         self.obs = obs
@@ -108,45 +116,46 @@ class Processor:
                                        self.trace_predictor, self.ras,
                                        self.stats, self._oracle[0].pc,
                                        direction_fallback=self.bimodal.predict,
-                                       walk_cache=self.perf.fast,
-                                       walk_memo=self.perf.soa)
+                                       fast=fast)
         self.buffers = FragmentBufferArray(
             config.frontend.num_fragment_buffers, self.stats)
         self.trace_cache: Optional[TraceCache] = None
         self.engine = self._build_engine()
         self.core = OutOfOrderCore(config.backend, self.memory, self.stats)
         self.renamer = self._build_renamer()
-        # Co-simulation (repro.perf.cosim) injects one SharedStream per
-        # stream group: the decode cache and SoA tables below are pure
-        # per (stream, fragment config), so sibling processors on the
-        # same stream share them without perturbing result identity.
-        # Ignored at tier 0, where the reference loop has neither.
-        if shared is not None and self.perf.fast:
+        #: Decoded-uop cache: recurring fragments reuse one immutable
+        #: :class:`~repro.core.uop.DecodedUop` per static instruction
+        #: instead of re-deriving operands/pool/latency every rename.
+        #: None in the reference loop.
+        self.decode_cache: Optional[DecodeCache] = None
+        #: The fast step's batched state: flat oracle PCs plus
+        #: per-static-fragment metadata; None in the reference loop.
+        self._soa: Optional[SoAState] = None
+        if fast and shared is not None:
+            # Co-simulation (repro.perf.cosim) injects one SharedStream
+            # per stream group: the decode cache and SoA tables are pure
+            # per (stream, fragment config), so sibling processors on
+            # the same stream share them without perturbing results.
             if len(shared.oracle_pcs) != len(self._oracle):
                 raise SimulationError(
                     "shared stream does not match this oracle stream")
             self.decode_cache = shared.decode_cache
-            self._soa = (
-                SoAState(self._oracle, self.decode_cache,
-                         oracle_pcs=shared.oracle_pcs,
-                         meta=shared.meta_for(config.fragment))
-                if self.perf.soa else None)
-        else:
-            #: Decoded-uop cache: recurring fragments reuse one immutable
-            #: :class:`~repro.core.uop.DecodedUop` per static instruction
-            #: instead of re-deriving operands/pool/latency every rename.
-            #: None under ``REPRO_FAST=0`` (the golden-parity reference
-            #: loop).
-            self.decode_cache = DecodeCache() if self.perf.fast else None
-            #: Tier-2 batched state (``REPRO_FAST=2``): flat oracle PCs
-            #: plus per-static-fragment metadata; None below tier 2.
-            self._soa = (
-                SoAState(self._oracle, self.decode_cache)
-                if self.perf.soa and self.decode_cache is not None else None)
-        #: Fetch-time oracle tagger (the SoA tier swaps in the batched
+            self._soa = SoAState(self._oracle, self.decode_cache,
+                                 oracle_pcs=shared.oracle_pcs,
+                                 meta=shared.meta_for(config.fragment))
+        elif fast:
+            self.decode_cache = DecodeCache()
+            self._soa = SoAState(self._oracle, self.decode_cache)
+        #: Fetch-time oracle tagger (the fast step swaps in the batched
         #: slice-compare variant; both produce identical ``records``).
-        self._tagger = (self._tag_fragment_soa if self._soa is not None
+        self._tagger = (self._tag_fragment_soa if fast
                         else self._tag_fragment)
+        #: The cycle's phases in reverse pipeline order, bound once;
+        #: :meth:`step` and the profiled loop both run this tuple.
+        self._phases = ((self._execute_soa, self._commit_soa,
+                         self._rename_soa, self._fetch) if fast
+                        else (self._execute, self._commit, self._rename,
+                              self._fetch))
 
         #: In-flight fragments, oldest first (committed ones are removed).
         self.fragments: List[FragmentInFlight] = []
@@ -181,13 +190,13 @@ class Processor:
         #: ``(key, length)``.  A carve's instruction path is fully
         #: determined by its start PC, direction bits and length (an
         #: indirect always terminates a carve), and ``LiveOutInfo`` is an
-        #: immutable tuple, so replaying the memo is exact.  Off under
-        #: ``REPRO_FAST=0`` to keep the reference loop memo-free.
-        self._liveout_memo: Optional[Dict] = {} if self.perf.fast else None
-        #: Live-out recovery policy, hoisted for the SoA step.
+        #: immutable tuple, so replaying the memo is exact.  Off in the
+        #: reference loop to keep it memo-free.
+        self._liveout_memo: Optional[Dict] = {} if fast else None
+        #: Live-out recovery policy, hoisted for the fast step.
         self._squash_mode = config.frontend.liveout_recovery == "squash"
         #: Whether the renamer exposes live-out misprediction queues
-        #: (only :class:`ParallelRenamer` does), hoisted for the SoA step.
+        #: (only :class:`ParallelRenamer` does), hoisted for the fast step.
         self._renamer_parallel = isinstance(self.renamer, ParallelRenamer)
 
     # -- construction ---------------------------------------------------------
@@ -235,41 +244,10 @@ class Processor:
         # max_cycles=0 must mean "run zero cycles", not "use the default".
         limit = (len(self._oracle) * 30 + 20_000) if max_cycles is None \
             else max_cycles
-        watchdog, invariants = self.watchdog, self.invariants
-        obs, live = self.obs, self.live
-        metrics = obs.metrics if obs is not None else None
-        profiler = obs.profiler if obs is not None else None
-        step = self._step_soa if self._soa is not None else self.step
-        if profiler is None:
-            while not self._done and self.now < limit:
-                step()
-                if metrics is not None:
-                    metrics.maybe_sample(self)
-                if live is not None:
-                    live.maybe_publish(self)
-                if watchdog is not None:
-                    watchdog.observe(self)
-                if invariants is not None:
-                    invariants.check(self)
-        else:
-            step_profiled = (self._step_soa_profiled
-                             if self._soa is not None
-                             else self._step_profiled)
-            while not self._done and self.now < limit:
-                step_profiled(profiler)
-                t0 = profiler.start()
-                if metrics is not None:
-                    metrics.maybe_sample(self)
-                if live is not None:
-                    live.maybe_publish(self)
-                if watchdog is not None:
-                    watchdog.observe(self)
-                if invariants is not None:
-                    invariants.check(self)
-                profiler.stop("observe", t0)
+        self._loop(limit, with_metrics=True)
         self.stamp_summary(timed_out=not self._done)
-        if obs is not None:
-            obs.finalize(self)
+        if self.obs is not None:
+            self.obs.finalize(self)
         return self
 
     # -- sampled-simulation seam (see repro.sampling) -----------------------
@@ -283,12 +261,11 @@ class Processor:
         observability nor stamps the ``sim.*`` summary counters, so a
         window's counter deltas stay clean.  ``self.now`` keeps
         accumulating across windows.  A :class:`PhaseProfiler` attached
-        via ``obs`` does stay live here (the instrumented step is
-        swapped in, exactly as in :meth:`run`), so sampled-mode host
-        time is attributable too; the metrics recorder stays idle so
-        windows see no mid-window gauge work.  Returns True when the
-        commit target was reached, False on hitting the cycle bound
-        (the caller decides whether that poisons the sample).
+        via ``obs`` does stay live here, exactly as in :meth:`run`, so
+        sampled-mode host time is attributable too; the metrics recorder
+        stays idle so windows see no mid-window gauge work.  Returns
+        True when the commit target was reached, False on hitting the
+        cycle bound (the caller decides whether that poisons the sample).
         """
         self._stop_at = min(stop_at, len(self._oracle))
         if self._committed >= self._stop_at:
@@ -297,35 +274,41 @@ class Processor:
         self._done = False
         budget = ((self._stop_at - self._committed) * 30 + 20_000
                   if max_cycles is None else max_cycles)
-        limit = self.now + budget
-        watchdog, invariants = self.watchdog, self.invariants
-        live = self.live
-        profiler = self.obs.profiler if self.obs is not None else None
-        step = self._step_soa if self._soa is not None else self.step
+        self._loop(self.now + budget, with_metrics=False)
+        return self._done
+
+    def _loop(self, limit: int, with_metrics: bool) -> None:
+        """Step until done or cycle *limit*, calling the attached
+        per-cycle observers (metrics recorder, live telemetry, watchdog,
+        invariant audits) after every cycle.  With a
+        :class:`PhaseProfiler` attached, each phase of the tuple
+        :meth:`step` runs is timed, and the observers as ``observe``."""
+        obs = self.obs
+        metrics = obs.metrics if obs is not None and with_metrics else None
+        observers = [getattr(observer, method) for observer, method in (
+            (metrics, "maybe_sample"), (self.live, "maybe_publish"),
+            (self.watchdog, "observe"), (self.invariants, "check"))
+            if observer is not None]
+        profiler = obs.profiler if obs is not None else None
         if profiler is None:
+            step = self.step
             while not self._done and self.now < limit:
                 step()
-                if live is not None:
-                    live.maybe_publish(self)
-                if watchdog is not None:
-                    watchdog.observe(self)
-                if invariants is not None:
-                    invariants.check(self)
-        else:
-            step_profiled = (self._step_soa_profiled
-                             if self._soa is not None
-                             else self._step_profiled)
-            while not self._done and self.now < limit:
-                step_profiled(profiler)
-                t0 = profiler.start()
-                if live is not None:
-                    live.maybe_publish(self)
-                if watchdog is not None:
-                    watchdog.observe(self)
-                if invariants is not None:
-                    invariants.check(self)
-                profiler.stop("observe", t0)
-        return self._done
+                for observe in observers:
+                    observe(self)
+            return
+        start, stop = profiler.start, profiler.stop
+        phases = tuple(zip(PHASES, self._phases))
+        while not self._done and self.now < limit:
+            self.now += 1
+            for name, phase in phases:
+                t0 = start()
+                phase()
+                stop(name, t0)
+            t0 = start()
+            for observe in observers:
+                observe(self)
+            stop("observe", t0)
 
     def restart_at(self, index: int) -> None:
         """Restart timing from the architectural checkpoint at oracle
@@ -359,8 +342,7 @@ class Processor:
         self.control = FrontEndControl(
             self.program, self.config.fragment, self.trace_predictor,
             self.ras, self.stats, self._oracle[index].pc,
-            direction_fallback=self.bimodal.predict,
-            walk_cache=self.perf.fast, walk_memo=self.perf.soa)
+            direction_fallback=self.bimodal.predict, fast=self.perf.fast)
         self.engine = self._build_engine()
         self.core = OutOfOrderCore(self.config.backend, self.memory,
                                    self.stats)
@@ -372,9 +354,22 @@ class Processor:
     def step(self) -> None:
         """Advance the processor by one cycle."""
         self.now += 1
-        completed = self.core.cycle(self.now)
-        self._handle_completions(completed)
-        self._commit()
+        for phase in self._phases:
+            phase()
+
+    # -- execute stage -----------------------------------------------------
+
+    def _execute(self) -> None:
+        self._handle_completions(self.core.cycle(self.now))
+
+    def _execute_soa(self) -> None:
+        completed = self.core.cycle_soa(self.now)
+        if completed or self._deferred_redirects:
+            self._handle_completions(completed)
+
+    # -- rename stage ------------------------------------------------------
+
+    def _rename(self) -> None:
         renamed = self.renamer.cycle(self.now, self.fragments,
                                      self._make_uop)
         if renamed:
@@ -394,62 +389,10 @@ class Processor:
         if self._pending_reexec:
             self._drain_pending_reexec()
         self._release_renamed_buffers()
-        self._fetch()
 
-    def _step_profiled(self, prof: "PhaseProfiler") -> None:
-        """:meth:`step` with per-phase wall-clock attribution.
-
-        A verbatim copy of :meth:`step` bracketed with profiler probes —
-        the default path must contain no timing calls at all, and the
-        parity test in tests/test_obs.py fails if the two ever diverge.
-        """
-        self.now += 1
-        t0 = prof.start()
-        completed = self.core.cycle(self.now)
-        self._handle_completions(completed)
-        prof.stop("execute", t0)
-        t0 = prof.start()
-        self._commit()
-        prof.stop("commit", t0)
-        t0 = prof.start()
-        renamed = self.renamer.cycle(self.now, self.fragments,
-                                     self._make_uop)
-        if renamed:
-            wrong = sum(1 for u in renamed if u.record is None)
-            if wrong:
-                self.stats.add("rename.wrongpath_insts", wrong)
-            self.core.dispatch(renamed, self.now)
-        if self.config.frontend.liveout_recovery == "squash":
-            mispredict = getattr(self.renamer,
-                                 "pending_liveout_mispredict", None)
-            if mispredict is not None:
-                self._liveout_squash(mispredict)
-        else:
-            for mispredict in getattr(self.renamer,
-                                      "pending_liveout_mispredicts", ()):
-                self._pending_reexec.add(mispredict.seq)
-        if self._pending_reexec:
-            self._drain_pending_reexec()
-        self._release_renamed_buffers()
-        prof.stop("rename", t0)
-        t0 = prof.start()
-        self._fetch()
-        prof.stop("fetch", t0)
-
-    def _step_soa(self) -> None:
-        """The tier-2 (``REPRO_FAST=2``) cycle step: batched commit and
-        rename over the :mod:`repro.perf.soa` metadata.
-
-        Semantically a verbatim twin of :meth:`step` — every phase runs
-        in the same order with the same observable effects (the
-        golden-parity matrix in tests/test_perf_soa.py holds the two
-        bit-identical); only the inner loops are batched.
-        """
-        self.now += 1
-        completed = self.core.cycle_soa(self.now)
-        if completed or self._deferred_redirects:
-            self._handle_completions(completed)
-        self._commit_soa()
+    def _rename_soa(self) -> None:
+        """Batched rename over the :mod:`repro.perf.soa` metadata, with
+        the same observable effects as :meth:`_rename`."""
         renamed, wrong = self.renamer.cycle_soa(self.now, self.fragments)
         if renamed:
             if wrong:
@@ -468,44 +411,6 @@ class Processor:
             self._drain_pending_reexec()
         if self.renamer.finished_any:
             self._release_renamed_buffers()
-        self._fetch()
-
-    def _step_soa_profiled(self, prof: "PhaseProfiler") -> None:
-        """:meth:`_step_soa` with per-phase wall-clock attribution (the
-        tier-2 twin of :meth:`_step_profiled`; verbatim copy rule applies
-        here too)."""
-        self.now += 1
-        t0 = prof.start()
-        completed = self.core.cycle_soa(self.now)
-        if completed or self._deferred_redirects:
-            self._handle_completions(completed)
-        prof.stop("execute", t0)
-        t0 = prof.start()
-        self._commit_soa()
-        prof.stop("commit", t0)
-        t0 = prof.start()
-        renamed, wrong = self.renamer.cycle_soa(self.now, self.fragments)
-        if renamed:
-            if wrong:
-                self.stats.add("rename.wrongpath_insts", wrong)
-            # dispatch_ready_cycle was stamped in the rename build loop.
-            self.core.queue_dispatched(renamed)
-        if self._renamer_parallel:
-            if self._squash_mode:
-                mispredict = self.renamer.pending_liveout_mispredict
-                if mispredict is not None:
-                    self._liveout_squash(mispredict)
-            else:
-                for mispredict in self.renamer.pending_liveout_mispredicts:
-                    self._pending_reexec.add(mispredict.seq)
-        if self._pending_reexec:
-            self._drain_pending_reexec()
-        if self.renamer.finished_any:
-            self._release_renamed_buffers()
-        prof.stop("rename", t0)
-        t0 = prof.start()
-        self._fetch()
-        prof.stop("fetch", t0)
 
     # -- fetch stage -------------------------------------------------------
 
@@ -587,7 +492,7 @@ class Processor:
                 self._deferred_redirects.append(uop)
 
     def _tag_fragment_soa(self, fragment: FragmentInFlight) -> None:
-        """Tier-2 tagging: one slice comparison against the flat oracle
+        """Fast-step tagging: one slice comparison against the flat oracle
         PC array covers the fragment's overwhelmingly common case (on
         the correct path, fully matched); anything else — divergence,
         stream end, an already-wrong path — falls back to the reference
@@ -619,22 +524,15 @@ class Processor:
         them before the first timed cycle changes no simulation result —
         it only moves steady-state cache construction out of the timed
         region, the same rationale as warming the predictors themselves.
-        No-op at ``REPRO_FAST=0`` (the reference loop has no caches).
+        No-op in the reference loop (it has no caches).
         """
-        if not self.perf.fast:
+        if self._soa is None:
             return
         static = self.control.prewarm(key.start_pc, key.directions)
-        if static is None:
-            return
-        if self._soa is not None:
-            meta = self._soa.meta_for(static)
-            self.engine.prewarm_chunks(meta, static.traversed_pcs)
-        elif self.decode_cache is not None:
-            lookup = self.decode_cache.lookup
-            for inst in static.instructions:
-                lookup(inst.addr, inst)
+        meta = self._soa.meta_for(static)
+        self.engine.prewarm_chunks(meta, static.traversed_pcs)
 
-    # -- rename support ---------------------------------------------------
+    # -- rename support (reference loop) ----------------------------------
 
     def _make_uop(self, fragment: FragmentInFlight,
                   position: int) -> MicroOp:
@@ -642,12 +540,9 @@ class Processor:
         entry = (fragment.records[position]
                  if position < len(fragment.records) else None)
         record = entry[0] if entry is not None else None
-        cache = self.decode_cache
         uop = MicroOp(seq=(fragment.seq << 8) | position, inst=inst,
                       pc=inst.addr, fragment_seq=fragment.seq,
-                      position=position, record=record,
-                      decoded=(cache.lookup(inst.addr, inst)
-                               if cache is not None else None))
+                      position=position, record=record)
         uop.renamed_cycle = self.now
         if entry is not None:
             uop.oracle_idx = entry[1]
@@ -956,7 +851,7 @@ class Processor:
             self.stats.add("commit.insts", committed)
 
     def _commit_soa(self) -> None:
-        """Tier-2 commit: stamp each contiguous run of DONE uops in one
+        """Fast-step commit: stamp each contiguous run of DONE uops in one
         batch and release its window slots with a single call.
 
         Equivalent to :meth:`_commit` because (a) ``release(seq, k)``

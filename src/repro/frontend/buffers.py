@@ -50,8 +50,9 @@ class FragmentInFlight:
         #: ``len(static_frag.instructions)``, snapshotted: length checks
         #: run several times per instruction on the rename hot path.
         self._static_len = len(static_frag.instructions)
-        #: Tier-2 batched metadata (:class:`repro.perf.soa.FragMeta`),
-        #: attached by the processor's SoA tagger; None below tier 2.
+        #: Fast-step batched metadata (:class:`repro.perf.soa.FragMeta`),
+        #: attached by the processor's SoA tagger; None in the reference
+        #: loop.
         self.soa_meta = None
         self.buffer_index: Optional[int] = None
 

@@ -22,7 +22,6 @@ from repro.frontend.fragments import (
     walk_fragment,
 )
 from repro.isa.program import Program
-from repro.perf import fast_paths_enabled
 from repro.predictors.return_stack import ReturnAddressStack
 from repro.predictors.trace_predictor import TracePredictor
 from repro.stats import StatsCollector
@@ -39,9 +38,7 @@ class FrontEndControl:
     def __init__(self, program: Program, fragment_config: FragmentConfig,
                  predictor: TracePredictor, ras: ReturnAddressStack,
                  stats: StatsCollector, start_pc: int,
-                 direction_fallback=None,
-                 walk_cache: Optional[bool] = None,
-                 walk_memo: bool = False):
+                 direction_fallback=None, fast: bool = False):
         self.program = program
         self.fragment_config = fragment_config
         self.predictor = predictor
@@ -63,16 +60,12 @@ class FrontEndControl:
         #: that never consulted the direction fallback — only those are
         #: pure functions of the key (the bimodal fallback trains over
         #: time, so a walk that asked it may answer differently later).
-        #: None under ``REPRO_FAST=0`` (the golden-parity reference).
-        #: The *walk_cache* parameter pins the choice explicitly (the
-        #: processor resolves it from its PerfConfig so benchmark runs
-        #: can mix tiers in one process); None defers to the environment.
-        if walk_cache is None:
-            walk_cache = fast_paths_enabled()
+        #: None unless *fast* (the processor passes its ``PerfConfig``;
+        #: the reference loop walks every fragment afresh).
         self._walk_cache: Optional[
             Dict[Tuple[int, Tuple[bool, ...]], StaticFragment]] = (
-            {} if walk_cache else None)
-        #: Tier-2 verify-on-hit memo for walks that *did* consult the
+            {} if fast else None)
+        #: Verify-on-hit memo for walks that *did* consult the
         #: fallback: each entry records the fragment plus the exact
         #: ``(pc, answer)`` sequence the fallback produced during the
         #: original walk.  A hit re-asks the (pure) fallback the same
@@ -83,7 +76,7 @@ class FrontEndControl:
         self._fallback_memo: Optional[Dict[
             Tuple[int, Tuple[bool, ...]],
             Tuple[StaticFragment, Tuple[Tuple[int, bool], ...]]]] = (
-            {} if (walk_memo and walk_cache) else None)
+            {} if fast else None)
 
     # -- fragment generation ----------------------------------------------
 
@@ -130,11 +123,11 @@ class FrontEndControl:
         Walks that never consulted the direction fallback are memoised
         unconditionally: with every conditional branch covered by a
         supplied direction bit, the walk is a pure function of the key
-        and the (immutable) program.  Under tier 2, fallback-consulted
-        walks are additionally memoised with the fallback's recorded
-        answers and verified on every hit (the bimodal table trains over
-        time, so yesterday's answers may have drifted); either way the
-        replayed result is bit-identical to re-walking.
+        and the (immutable) program.  Fallback-consulted walks are
+        memoised with the fallback's recorded answers and verified on
+        every hit (the bimodal table trains over time, so yesterday's
+        answers may have drifted); either way the replayed result is
+        bit-identical to re-walking.
         """
         cache = self._walk_cache
         fallback = self.direction_fallback
@@ -146,7 +139,7 @@ class FrontEndControl:
         if cached is not None:
             return cached
         memo = self._fallback_memo
-        if memo is not None and fallback is not None:
+        if fallback is not None:
             entry = memo.get(key)
             if entry is not None:
                 static_frag, checks = entry
@@ -169,7 +162,7 @@ class FrontEndControl:
             if len(cache) >= _WALK_CACHE_CAPACITY:
                 cache.clear()
             cache[key] = static_frag
-        elif memo is not None:
+        else:
             if len(memo) >= _WALK_CACHE_CAPACITY:
                 memo.clear()
             memo[key] = (static_frag, tuple(asked))

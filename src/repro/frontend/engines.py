@@ -94,7 +94,7 @@ class FillEngine:
         raise NotImplementedError
 
     def prewarm_chunks(self, meta, pcs) -> None:
-        """Eagerly build per-fragment fetch chunk tables (tier 2).
+        """Eagerly build per-fragment fetch chunk tables (fast step).
 
         Functional-warming hook: chunk tables are pure functions of the
         static fragment and the sequencer geometry, so prebuilding them

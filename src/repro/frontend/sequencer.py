@@ -91,7 +91,7 @@ class Sequencer:
                 return 0
         meta = fragment.soa_meta
         if meta is not None:
-            # Tier 2: the cycle's stopping point is a pure function of
+            # Fast step: the cycle's stopping point is a pure function of
             # the static fragment and the sequencer geometry — replay it
             # from the precomputed chunk table instead of re-walking.
             geometry = self._geometry

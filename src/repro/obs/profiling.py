@@ -3,10 +3,10 @@
 The :class:`PhaseProfiler` answers "where does a simulation's host time
 go?" — execute, commit, rename, fetch, misprediction recovery — so perf
 work on the simulator itself can be targeted and verified.  The design
-constraint is *zero* cost when disabled: the processor swaps in an
-instrumented copy of its step function only when a profiler is attached
-(see ``Processor._step_profiled``), so the default path contains no
-timing calls at all.
+constraint is *zero* cost when disabled: only when a profiler is
+attached does the processor's run loop time each of the phase methods
+its step runs (see ``Processor._loop``), so the default path contains
+no timing calls at all.
 
 The explicit ``start()``/``stop()`` API (rather than a context manager)
 keeps the per-phase overhead to two ``perf_counter`` calls and one dict
@@ -21,7 +21,8 @@ from typing import Dict, List
 
 from repro.stats import StatsCollector, format_table
 
-#: Pipeline phases in report order (matches ``Processor._step_profiled``).
+#: Pipeline phases in report order; the first four name the phase
+#: methods ``Processor.step`` runs, in the order it runs them.
 PHASES = ("execute", "commit", "rename", "fetch", "observe")
 
 

@@ -1,21 +1,23 @@
-"""Speed tiers and the reproducible wall-clock benchmark harness.
+"""Speed switch and the reproducible wall-clock benchmark harness.
 
 Three related jobs live in this package:
 
-* :mod:`repro.perf.knobs` — the ``REPRO_FAST`` tier switch.  Tier 0 is
-  the reference loop (the correctness oracle), tier 1 (default) enables
-  the behaviour-preserving hot-path caches, tier 2 adds the batched
+* :mod:`repro.perf.knobs` — the ``REPRO_FAST`` on/off switch.  Off is
+  the reference loop (the correctness oracle); on (the default) is the
+  fast step: the behaviour-preserving hot-path caches plus the batched
   structure-of-arrays cycle step.  The golden-parity tests
-  (``tests/test_perf.py``, ``tests/test_perf_soa.py``) run the tiers
-  side by side and assert every result counter is bit-identical, which
-  is what licenses the fast tiers in the first place.  Structural
-  optimizations (precomputed instruction attributes, the array-backed
-  rename map, idle-phase skipping) are unconditional — they are provably
+  (``tests/test_perf_soa.py``) and the hypothesis differential test
+  (``tests/test_end_to_end_property.py``) run both side by side and
+  assert every result counter is bit-identical, which is what licenses
+  the fast step in the first place.  Structural optimizations
+  (precomputed instruction attributes, the array-backed rename map,
+  idle-phase skipping) are unconditional — they are provably
   behaviour-preserving and have no slow twin.
 
-* :mod:`repro.perf.soa` — the tier-2 batched state: flattened oracle
-  PCs and per-fragment decode/source/dest metadata the batched rename,
-  tagging and commit loops run over (layout in ``docs/DATA_LAYOUT.md``).
+* :mod:`repro.perf.soa` — the fast step's batched state: flattened
+  oracle PCs and per-fragment decode/source/dest metadata the batched
+  rename, tagging and commit loops run over (layout in
+  ``docs/DATA_LAYOUT.md``).
 
 * :mod:`repro.perf.bench` — the benchmark harness behind
   ``benchmarks/bench_perf.py`` and the ``BENCH_perf*.json`` records.
@@ -26,6 +28,7 @@ from repro.perf.bench import (
     COSIM_CONFIGS,
     COSIM_GATE_SPEEDUP,
     COSIM_TARGET_SPEEDUP,
+    FAST_GATE_SPEEDUP,
     PINNED_BENCHMARK,
     PINNED_CONFIGS,
     PINNED_INSTRUCTIONS,
@@ -33,11 +36,9 @@ from repro.perf.bench import (
     SCHEMA_VERSION,
     SMOKE_INSTRUCTIONS,
     SMOKE_SAMPLED_INSTRUCTIONS,
-    SOA_GATE_SPEEDUP,
-    SOA_TARGET_SPEEDUP,
     calibrate,
     check_cosim_speedup,
-    check_soa_speedup,
+    check_fast_speedup,
     compare_records,
     load_record,
     run_benchmark,
@@ -46,17 +47,13 @@ from repro.perf.bench import (
     run_sampled_benchmark,
     write_record,
 )
-from repro.perf.knobs import (
-    PerfConfig,
-    fast_level,
-    fast_paths_enabled,
-    soa_enabled,
-)
+from repro.perf.knobs import PerfConfig
 
 __all__ = [
     "COSIM_CONFIGS",
     "COSIM_GATE_SPEEDUP",
     "COSIM_TARGET_SPEEDUP",
+    "FAST_GATE_SPEEDUP",
     "PERF_FAST_ENV",
     "PINNED_BENCHMARK",
     "PINNED_CONFIGS",
@@ -65,20 +62,15 @@ __all__ = [
     "SCHEMA_VERSION",
     "SMOKE_INSTRUCTIONS",
     "SMOKE_SAMPLED_INSTRUCTIONS",
-    "SOA_GATE_SPEEDUP",
-    "SOA_TARGET_SPEEDUP",
     "PerfConfig",
     "calibrate",
     "check_cosim_speedup",
-    "check_soa_speedup",
+    "check_fast_speedup",
     "compare_records",
-    "fast_level",
-    "fast_paths_enabled",
     "load_record",
     "run_benchmark",
     "run_cosim_benchmark",
     "run_matrix",
     "run_sampled_benchmark",
-    "soa_enabled",
     "write_record",
 ]

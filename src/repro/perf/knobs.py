@@ -1,94 +1,43 @@
-"""The ``REPRO_FAST`` speed-tier knob and its parsed form.
+"""The ``REPRO_FAST`` switch and its parsed form.
 
-The knob has three levels (see ``docs/PERFORMANCE.md`` for the full
-speed-tier table and ``docs/DATA_LAYOUT.md`` for what tier 2 changes):
+The knob is on/off (see ``docs/PERFORMANCE.md`` for the speed-mode
+table and ``docs/DATA_LAYOUT.md`` for what the fast step changes):
 
-* ``REPRO_FAST=0`` — the reference loop: no decode cache, no fragment
-  walk cache, per-object cycle step.  The correctness oracle.
-* ``REPRO_FAST=1`` (or unset) — the behaviour-preserving hot-path
-  caches from PR 4: the decoded-uop cache
-  (:class:`repro.core.uop.DecodeCache`) and the front-end fragment walk
-  cache (:class:`repro.frontend.control.FrontEndControl`).
-* ``REPRO_FAST=2`` — everything in tier 1 plus the batched
-  structure-of-arrays cycle step (:mod:`repro.perf.soa`): oracle PCs
-  flattened into one array, per-fragment decode/source/dest metadata
-  precomputed once, and rename/commit executed as bulk batch loops.
+* ``REPRO_FAST=0`` (or any falsy spelling) — the reference loop: no
+  decode cache, no fragment walk cache, no live-out memo, per-object
+  cycle step.  The correctness oracle.
+* unset, or any other value — the fast step: the decoded-uop cache
+  (:class:`repro.core.uop.DecodeCache`), the front-end fragment walk
+  cache (:class:`repro.frontend.control.FrontEndControl`) and the
+  batched structure-of-arrays cycle step (:mod:`repro.perf.soa`).
 
-Every tier is bit-identical to tier 0 by contract; the golden-parity
-tests (``tests/test_perf.py``, ``tests/test_perf_soa.py``) run the
-tiers side by side and assert every counter matches.
+The fast step is bit-identical to the reference loop by contract; the
+golden-parity tests (``tests/test_perf_soa.py``) and the hypothesis
+differential test (``tests/test_end_to_end_property.py``) run both and
+assert every counter matches.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.config import PERF_FAST_ENV
-
-#: ``REPRO_FAST`` values that select the reference loop (tier 0).
-_OFF_VALUES = ("0", "false", "no", "off", "")
-#: ``REPRO_FAST`` values that select the batched SoA step (tier 2).
-_SOA_VALUES = ("2", "soa")
-
-
-def fast_level() -> int:
-    """The configured ``REPRO_FAST`` tier: 0, 1 or 2.
-
-    Unset defaults to tier 1.  Falsy spellings (``0``/``false``/``no``/
-    ``off``/empty) select the reference loop; ``2`` (or ``soa``) selects
-    the batched structure-of-arrays step; anything else truthy is
-    tier 1.
-    """
-    value = os.environ.get(PERF_FAST_ENV)
-    if value is None:
-        return 1
-    text = value.strip().lower()
-    if text in _OFF_VALUES:
-        return 0
-    if text in _SOA_VALUES:
-        return 2
-    return 1
-
-
-def fast_paths_enabled() -> bool:
-    """Whether the gated hot-path caches are on (tier >= 1).
-
-    Unset or any truthy value enables them; ``0``/``false``/``no``/
-    ``off`` selects the reference loop.
-    """
-    return fast_level() >= 1
-
-
-def soa_enabled() -> bool:
-    """Whether the batched SoA cycle step is selected (tier 2)."""
-    return fast_level() >= 2
+from repro.config import PERF_FAST_ENV, env_flag
 
 
 @dataclass(frozen=True)
 class PerfConfig:
-    """Resolved speed-tier selection for one :class:`Processor`.
+    """Resolved speed selection for one :class:`Processor`.
 
     Kept separate from :class:`repro.config.ProcessorConfig` on purpose:
-    the tier changes *how fast* a simulation runs, never *what* it
-    computes, so it must not leak into result identity, sweep cache
-    keys, or warm-snapshot digests.
+    it changes *how fast* a simulation runs, never *what* it computes,
+    so it must not leak into result identity, sweep cache keys, or
+    warm-snapshot digests.
     """
 
-    #: The ``REPRO_FAST`` tier (0 = reference, 1 = cached, 2 = SoA).
-    level: int = 1
-
-    @property
-    def fast(self) -> bool:
-        """Tier >= 1: decode cache + fragment walk cache."""
-        return self.level >= 1
-
-    @property
-    def soa(self) -> bool:
-        """Tier >= 2: batched structure-of-arrays cycle step."""
-        return self.level >= 2
+    #: True for the fast step, False for the reference loop.
+    fast: bool = True
 
     @classmethod
     def from_env(cls) -> "PerfConfig":
-        """The tier selected by ``REPRO_FAST`` right now."""
-        return cls(level=fast_level())
+        """The selection ``REPRO_FAST`` makes right now."""
+        return cls(fast=env_flag(PERF_FAST_ENV, default=True))

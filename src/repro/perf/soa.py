@@ -1,12 +1,13 @@
-"""Tier-2 batched structure-of-arrays pipeline state (``REPRO_FAST=2``).
+"""The fast step's batched structure-of-arrays pipeline state.
 
 The reference cycle loop re-derives the same per-instruction facts for
 every dynamic instance: oracle tagging compares PCs one attribute lookup
-at a time, rename asks the decode cache for operands per uop, commit
-releases window slots one at a time.  Tier 2 hoists everything that is a
-pure function of the *static* fragment into a :class:`FragMeta` built
-once per :class:`~repro.frontend.fragments.StaticFragment`, and flattens
-the oracle stream's PCs into one preallocated list so tagging a fragment
+at a time, rename derives operands from the instruction per uop, commit
+releases window slots one at a time.  The fast step hoists everything
+that is a pure function of the *static* fragment into a
+:class:`FragMeta` built once per
+:class:`~repro.frontend.fragments.StaticFragment`, and flattens the
+oracle stream's PCs into one preallocated list so tagging a fragment
 becomes a single slice comparison.
 
 Index linkage invariants (see ``docs/DATA_LAYOUT.md`` for the full
@@ -16,8 +17,8 @@ memory model):
   flat mirror of ``Processor._oracle``; positions never move.
 * ``FragMeta.pcs/srcs/dest/decoded[p]`` describe static instruction
   position ``p`` of one fragment; a fragment's dynamic uop at position
-  ``p`` is built from exactly these entries, so tier 2 produces
-  bit-identical uops to the reference ``_make_uop`` path.
+  ``p`` is built from exactly these entries, so the fast step builds
+  the same uops as the reference ``_make_uop`` path.
 * Metadata is cached per *canonical fragment key*.  The key records the
   actual direction of every conditional branch inside the fragment
   (fallback-supplied bits included — see ``walk_fragment``), so for a
@@ -46,7 +47,7 @@ class FragMeta:
         #: hot loop.
         self.insts = static.instructions
         # One fused pass builds every per-position array (pcs, decoded,
-        # srcs, dest, src_plan): metadata construction is pure tier-2
+        # srcs, dest, src_plan): metadata construction is pure fast-step
         # overhead, so its cost lands directly on the speedup ratio.
         lookup = cache.lookup
         #: PC per position — compared against ``oracle_pcs`` as a slice.
@@ -130,7 +131,7 @@ class SharedStream:
 
 
 class SoAState:
-    """Flat tier-2 state owned by one :class:`Processor` instance."""
+    """Flat fast-step state owned by one :class:`Processor` instance."""
 
     __slots__ = ("oracle_pcs", "_cache", "_meta")
 

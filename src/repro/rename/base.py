@@ -20,26 +20,12 @@ MakeUop = Callable[[FragmentInFlight, int], MicroOp]
 
 
 def source_regs(uop: MicroOp):
-    """Dependence-creating source registers of *uop* (``r0`` filtered).
-
-    Prefers the cached decode metadata attached by the processor's
-    decoded-uop cache; falls back to deriving it from the instruction for
-    uops constructed outside the processor (tests, tools).
-    """
-    decoded = uop.decoded
-    if decoded is not None:
-        return decoded.srcs
+    """Dependence-creating source registers of *uop* (``r0`` filtered)."""
     return tuple(r for r in uop.inst.src_regs() if r != ZERO_REG)
 
 
 def dest_of(uop: MicroOp) -> Optional[int]:
-    """Destination register of *uop*, or ``None`` for ``r0``/no-dest.
-
-    Same cached-metadata fast path as :func:`source_regs`.
-    """
-    decoded = uop.decoded
-    if decoded is not None:
-        return decoded.dest
+    """Destination register of *uop*, or ``None`` for ``r0``/no-dest."""
     dest = uop.inst.dest_reg()
     return dest if dest is not None and dest != ZERO_REG else None
 

@@ -26,7 +26,7 @@ class MonolithicRenamer:
         self.width = width
         self.window = window
         self.stats = stats
-        #: Backend dispatch-pipeline latency, so the tier-2 batch loop
+        #: Backend dispatch-pipeline latency, so the fast-step batch loop
         #: can stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
         self.dispatch_delay = dispatch_delay
@@ -91,7 +91,7 @@ class MonolithicRenamer:
 
     def cycle_soa(self, now: int,
                   fragments: List[FragmentInFlight]) -> tuple:
-        """Tier-2 batched twin of :meth:`cycle` (``REPRO_FAST=2``);
+        """Fast-step batched twin of :meth:`cycle`;
         returns ``(renamed, wrongpath_count)``.
 
         One window reservation and one tight loop per fragment batch:

@@ -55,7 +55,7 @@ class ParallelRenamer:
         self.window = window
         self.liveout_predictor = liveout_predictor
         self.stats = stats
-        #: Backend dispatch-pipeline latency, so the tier-2 batch loop
+        #: Backend dispatch-pipeline latency, so the fast-step batch loop
         #: can stamp ``dispatch_ready_cycle`` at build time and hand the
         #: whole batch to the core in one extend.
         self.dispatch_delay = dispatch_delay
@@ -92,7 +92,7 @@ class ParallelRenamer:
 
     def cycle_soa(self, now: int,
                   fragments: List[FragmentInFlight]) -> tuple:
-        """Tier-2 batched twin of :meth:`cycle` (``REPRO_FAST=2``);
+        """Fast-step batched twin of :meth:`cycle`;
         returns ``(renamed, wrongpath_count)``.
 
         Phase 1 is untouched (it already runs at most once per cycle);

@@ -102,6 +102,11 @@ def _probe_live() -> bool:
     return LiveConfig.from_env() is not None
 
 
+def _probe_fast() -> bool:
+    from repro.perf import PerfConfig
+    return PerfConfig.from_env().fast
+
+
 PROBES = {
     "REPRO_SWEEP_GROUP": _probe_sweep_group,
     "REPRO_COSIM": _probe_cosim,
@@ -111,7 +116,16 @@ PROBES = {
     "REPRO_OBS_TRACE": _probe_obs_trace,
     "REPRO_OBS_PROFILE": _probe_obs_profile,
     "REPRO_LIVE": _probe_live,
+    "REPRO_FAST": _probe_fast,
 }
+
+
+def test_fast_defaults_on_when_unset_or_blank(monkeypatch):
+    """REPRO_FAST is the one registered knob that defaults to on."""
+    monkeypatch.delenv("REPRO_FAST", raising=False)
+    assert _probe_fast() is True
+    monkeypatch.setenv("REPRO_FAST", "  ")
+    assert _probe_fast() is True
 
 
 class TestRegisteredKnobs:

@@ -138,7 +138,7 @@ class TestFrontEndControl:
         predictor = TracePredictor(TracePredictorConfig(), stats)
         ras = ReturnAddressStack()
         return FrontEndControl(program, CONFIG, predictor, ras, stats,
-                               start), predictor, ras
+                               start, fast=True), predictor, ras
 
     def test_follows_fall_through_chain_cold(self):
         program = straight_program(64)

@@ -1,11 +1,12 @@
 """Tests for the performance layer (``repro.perf``).
 
-Three concerns:
+Three concerns (the full golden-parity matrix of the fast step against
+the reference loop lives in ``tests/test_perf_soa.py``):
 
-* **Golden parity** — the gated fast paths (``REPRO_FAST=1``: decode
-  cache, fragment-walk cache) must be bit-identical to the reference
-  loop (``REPRO_FAST=0``): same cycles, same committed count, same
-  counter dict, entry for entry.
+* **Golden parity, profiled** — with the per-phase profiler on, the fast
+  step (``REPRO_FAST`` unset) and the reference loop (``REPRO_FAST=0``)
+  run through the profiler's timed phase tuple and must still agree on
+  cycles, committed count and every counter but the wall-clock seconds.
 * **DecodeCache** — hit/miss/eviction unit behaviour.
 * **Benchmark harness** — ``run_matrix``/``compare_records`` record
   shape and regression gating, plus a ``bench_perf.py --smoke`` run.
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro import perf
+from repro.config import OBS_PROFILE_ENV
 from repro.core.simulation import run_simulation
 from repro.core.uop import DecodeCache
 from repro.isa.assembler import assemble
@@ -26,35 +28,35 @@ from repro.isa.assembler import assemble
 BENCH_SCRIPT = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_perf.py"
 
 
-def _run(config, fast, monkeypatch, benchmark="gcc", instructions=3000):
-    monkeypatch.setenv(perf.PERF_FAST_ENV, "1" if fast else "0")
+def _run_profiled(config, fast, monkeypatch, benchmark="gcc",
+                  instructions=3000):
+    monkeypatch.setenv(OBS_PROFILE_ENV, "1")
+    if fast:
+        monkeypatch.delenv(perf.PERF_FAST_ENV, raising=False)
+    else:
+        monkeypatch.setenv(perf.PERF_FAST_ENV, "0")
     return run_simulation(config, benchmark, max_instructions=instructions)
 
 
+def _stable(counters):
+    # obs.profile.*seconds are wall clock, not simulation state.
+    return {name: value for name, value in counters.items()
+            if not (name.startswith("obs.profile.")
+                    and name.endswith("seconds"))}
+
+
 class TestGoldenParity:
-    """Fast paths must not change a single architectural counter."""
+    """The profiled fast step must not change a single counter."""
 
     @pytest.mark.parametrize("config", ["w16", "tc", "pr-2x8w"])
     def test_counters_bit_identical(self, config, monkeypatch):
-        fast = _run(config, True, monkeypatch)
-        reference = _run(config, False, monkeypatch)
+        fast = _run_profiled(config, True, monkeypatch)
+        reference = _run_profiled(config, False, monkeypatch)
         assert fast.cycles == reference.cycles
         assert fast.committed == reference.committed
-        assert fast.counters == reference.counters
-
-    def test_parity_on_second_benchmark(self, monkeypatch):
-        fast = _run("pf-2x8w", True, monkeypatch, benchmark="mcf")
-        reference = _run("pf-2x8w", False, monkeypatch, benchmark="mcf")
-        assert fast.counters == reference.counters
-
-    def test_fast_paths_enabled_parsing(self, monkeypatch):
-        monkeypatch.delenv(perf.PERF_FAST_ENV, raising=False)
-        assert perf.fast_paths_enabled()
-        for value in ("0", "false", "NO", " off ", ""):
-            monkeypatch.setenv(perf.PERF_FAST_ENV, value)
-            assert not perf.fast_paths_enabled()
-        monkeypatch.setenv(perf.PERF_FAST_ENV, "1")
-        assert perf.fast_paths_enabled()
+        assert _stable(fast.counters) == _stable(reference.counters)
+        # Both loops were timed phase by phase, once per cycle.
+        assert fast.counters["obs.profile.fetch.calls"] == fast.cycles
 
 
 class TestDecodeCache:
@@ -146,6 +148,19 @@ class TestBenchHarness:
         assert perf.compare_records(record(900.0), baseline) == []
         failures = perf.compare_records(record(500.0), baseline)
         assert len(failures) == 1 and "sampled tc/gcc" in failures[0]
+
+    def test_check_fast_speedup_gate(self):
+        def record(*speedups):
+            return {"entries": [{"config": f"c{i}", "benchmark": "gcc",
+                                 "speedup_vs_reference": x}
+                                for i, x in enumerate(speedups)],
+                    "reference": [{} for _ in speedups]}
+
+        assert perf.check_fast_speedup(record(2.0, 1.9), target=1.5) == []
+        failures = perf.check_fast_speedup(record(2.0, 1.4), target=1.5)
+        assert len(failures) == 1 and "c1/gcc" in failures[0]
+        # A record timed without --reference cannot pass the gate.
+        assert perf.check_fast_speedup({"entries": []}, target=1.5)
 
     def test_run_sampled_benchmark_entry_shape(self):
         entry = perf.run_sampled_benchmark("w16", instructions=8_000)

@@ -1,22 +1,26 @@
-"""Golden-parity matrix for the tier-2 batched SoA cycle loop.
+"""Golden-parity matrix: the fast cycle step against the reference loop.
 
-``REPRO_FAST=2`` (the structure-of-arrays batch step, see
-``docs/DATA_LAYOUT.md``) must be bit-identical to the ``REPRO_FAST=0``
-reference loop in every execution mode the simulator supports:
+The fast step (unset ``REPRO_FAST``: hot-path caches plus the batched
+structure-of-arrays step, see ``docs/DATA_LAYOUT.md``) must be
+bit-identical to the ``REPRO_FAST=0`` reference loop in every execution
+mode the simulator supports:
 
 * **Full detail** — every paper configuration class (wide monolithic,
-  trace cache, parallel fetch, parallel fetch + parallel rename).
+  trace cache, parallel fetch, parallel fetch + parallel rename), on two
+  benchmarks.
 * **Observability on** — the deterministic pillars (metrics sampling,
   event tracing) live during the run.
 * **Interval sampled** — the SMARTS-style sampling engine driving
-  warm/measure/fast-forward transitions over the tier-2 step.
+  warm/measure/fast-forward transitions over the fast step.
 * **Checkpointed** — a run killed mid-flight by the ``kill_mid_unit``
-  fault and resumed at tier 2 in a fresh process must reproduce the
-  tier-0 uninterrupted answer.
+  fault and resumed on the fast step in a fresh process must reproduce
+  the reference loop's uninterrupted answer.
 
 Parity here means the full identity: cycles, committed instructions and
-the complete counter dict, entry for entry.  Knob parsing for the tier
-switch rides along.
+the complete counter dict, entry for entry.  The knob's parsing is
+probed with every other boolean knob in ``tests/test_env_flags.py``;
+random configurations are covered by the hypothesis differential test
+in ``tests/test_end_to_end_property.py``.
 """
 
 import os
@@ -28,11 +32,14 @@ import pytest
 from repro import perf, run_simulation
 from repro.checkpoint import CHECKPOINT_DIR_ENV
 from repro.faults import FAULTS_ENV
-from repro.perf import PerfConfig, fast_level, soa_enabled
 from repro.sampling import SamplingConfig
 
 #: One configuration per front-end organization class of the paper.
 CONFIGS = ("w16", "tc", "pf-2x8w", "pr-2x8w")
+#: The full-detail matrix: every class on gcc, plus parallel fetch on a
+#: second benchmark.
+MATRIX = ([pytest.param(config, "gcc", id=config) for config in CONFIGS]
+          + [pytest.param("pf-2x8w", "mcf", id="pf-2x8w-mcf")])
 LENGTH = 3000
 
 
@@ -50,85 +57,60 @@ def identity(result):
     return (result.cycles, result.committed, dict(result.counters))
 
 
-def run_tier(level, config, monkeypatch, benchmark="gcc",
+def run_mode(fast, config, monkeypatch, benchmark="gcc",
              instructions=LENGTH, **kwargs):
-    monkeypatch.setenv(perf.PERF_FAST_ENV, str(level))
+    monkeypatch.setenv(perf.PERF_FAST_ENV, "1" if fast else "0")
     return run_simulation(config, benchmark,
                           max_instructions=instructions, **kwargs)
 
 
-class TestTierKnob:
-    def test_fast_level_parsing(self, monkeypatch):
-        monkeypatch.delenv(perf.PERF_FAST_ENV, raising=False)
-        assert fast_level() == 1
-        for value, level in (("0", 0), ("off", 0), ("", 0), ("1", 1),
-                             ("yes", 1), ("2", 2), ("soa", 2), (" SoA ", 2)):
-            monkeypatch.setenv(perf.PERF_FAST_ENV, value)
-            assert fast_level() == level, value
-
-    def test_soa_enabled(self, monkeypatch):
-        monkeypatch.setenv(perf.PERF_FAST_ENV, "2")
-        assert soa_enabled()
-        monkeypatch.setenv(perf.PERF_FAST_ENV, "1")
-        assert not soa_enabled()
-
-    def test_perf_config_levels(self):
-        assert not PerfConfig(level=0).fast and not PerfConfig(level=0).soa
-        assert PerfConfig(level=1).fast and not PerfConfig(level=1).soa
-        assert PerfConfig(level=2).fast and PerfConfig(level=2).soa
-
-
 class TestSoAGoldenParity:
-    """Tier 2 must not change a single architectural counter."""
+    """The fast step must not change a single architectural counter."""
 
-    @pytest.mark.parametrize("config", CONFIGS)
-    def test_counters_bit_identical(self, config, monkeypatch):
-        soa = run_tier(2, config, monkeypatch)
-        reference = run_tier(0, config, monkeypatch)
-        assert identity(soa) == identity(reference)
+    @pytest.mark.parametrize("config,program", MATRIX)
+    def test_counters_bit_identical(self, config, program, monkeypatch):
+        fast = run_mode(True, config, monkeypatch, benchmark=program)
+        reference = run_mode(False, config, monkeypatch, benchmark=program)
+        assert identity(fast) == identity(reference)
 
     def test_parity_on_second_benchmark(self, monkeypatch):
-        soa = run_tier(2, "pr-2x8w", monkeypatch, benchmark="mcf")
-        reference = run_tier(0, "pr-2x8w", monkeypatch, benchmark="mcf")
-        assert identity(soa) == identity(reference)
-
-    def test_parity_against_tier1(self, monkeypatch):
-        """All three tiers agree, not just the endpoints."""
-        soa = run_tier(2, "w16", monkeypatch)
-        cached = run_tier(1, "w16", monkeypatch)
-        assert identity(soa) == identity(cached)
+        fast = run_mode(True, "pr-2x8w", monkeypatch, benchmark="mcf")
+        reference = run_mode(False, "pr-2x8w", monkeypatch, benchmark="mcf")
+        assert identity(fast) == identity(reference)
 
 
 class TestModeParity:
-    """Tier 2 under the other execution modes, against tier 0."""
+    """The fast step under the other execution modes, against the
+    reference loop."""
 
     def test_observability_on(self, monkeypatch):
         # Metrics sampling and tracing are deterministic pillars: their
-        # obs.* summary counters must match across tiers too.  (The
-        # profiler's obs.profile.*.seconds are wall clock and excluded
-        # by not enabling it.)
+        # obs.* summary counters must match across the two loops too.
+        # (The profiler's obs.profile.*.seconds are wall clock and
+        # excluded by not enabling it.)
         monkeypatch.setenv("REPRO_OBS_SAMPLE", "50")
         monkeypatch.setenv("REPRO_OBS_TRACE", "1")
-        soa = run_tier(2, "tc", monkeypatch)
-        reference = run_tier(0, "tc", monkeypatch)
-        assert identity(soa) == identity(reference)
+        fast = run_mode(True, "tc", monkeypatch)
+        reference = run_mode(False, "tc", monkeypatch)
+        assert identity(fast) == identity(reference)
 
     def test_sampled(self, monkeypatch):
         sampling = SamplingConfig(period=3, unit=500, warmup=500)
-        soa = run_tier(2, "w16", monkeypatch, instructions=12000,
-                       sampling=sampling)
-        reference = run_tier(0, "w16", monkeypatch, instructions=12000,
+        fast = run_mode(True, "w16", monkeypatch, instructions=12000,
+                        sampling=sampling)
+        reference = run_mode(False, "w16", monkeypatch, instructions=12000,
                              sampling=sampling)
-        assert identity(soa) == identity(reference)
+        assert identity(fast) == identity(reference)
 
     def test_checkpointed(self, monkeypatch):
-        soa = run_tier(2, "w16", monkeypatch, checkpoint_every=1000)
-        reference = run_tier(0, "w16", monkeypatch, checkpoint_every=1000)
-        assert identity(soa) == identity(reference)
+        fast = run_mode(True, "w16", monkeypatch, checkpoint_every=1000)
+        reference = run_mode(False, "w16", monkeypatch,
+                             checkpoint_every=1000)
+        assert identity(fast) == identity(reference)
 
 
 class TestKillAndResumeAtTier2:
-    """Crash-resume on the tier-2 step reproduces the tier-0 answer."""
+    """Crash-resume on the fast step reproduces the reference answer."""
 
     CODE = ("import repro\n"
             "repro.run_simulation('w16', 'gzip', max_instructions=3000, "
@@ -137,7 +119,7 @@ class TestKillAndResumeAtTier2:
     def test_kill_resume_parity(self, tmp_path, monkeypatch):
         env = dict(os.environ)
         env.update({
-            perf.PERF_FAST_ENV: "2",
+            perf.PERF_FAST_ENV: "1",
             CHECKPOINT_DIR_ENV: str(tmp_path / "ckpt"),
             "REPRO_CACHE_DIR": str(tmp_path / "cache"),
             FAULTS_ENV: "kill_mid_unit attempts=*",
@@ -150,10 +132,10 @@ class TestKillAndResumeAtTier2:
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(tmp_path / "ckpt"))
-        resumed = run_tier(2, "w16", monkeypatch, benchmark="gzip",
+        resumed = run_mode(True, "w16", monkeypatch, benchmark="gzip",
                            checkpoint_every=1000)
 
         monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(tmp_path / "ckpt2"))
-        reference = run_tier(0, "w16", monkeypatch, benchmark="gzip",
+        reference = run_mode(False, "w16", monkeypatch, benchmark="gzip",
                              checkpoint_every=1000)
         assert identity(resumed) == identity(reference)

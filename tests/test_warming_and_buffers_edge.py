@@ -58,7 +58,7 @@ class TestRedirectRasReplay:
         predictor = TracePredictor(TracePredictorConfig(), stats)
         ras = ReturnAddressStack()
         control = FrontEndControl(program, CONFIG, predictor, ras, stats,
-                                  start)
+                                  start, fast=True)
         return control, ras
 
     def test_calls_in_valid_prefix_are_replayed(self):
